@@ -13,8 +13,7 @@
 //     stable server slots — adding a server inserts it after a uniform
 //     random predecessor, perturbing exactly one existing commodity;
 //   - the flow solver warm-starts each probe from the previous probe's
-//     solution, one state chain per trial, advanced in probe order, and
-//     performs a marginal-quality primal restart inside each solve.
+//     solution, one state chain per trial, advanced in probe order.
 //
 // Determinism is preserved by construction: the instance probed at a
 // given server count, and the warm state used for it, are pure functions

@@ -17,6 +17,11 @@
 // The solver iterates until the two certificates are within Options.Tol of
 // each other, so reported throughputs carry per-run accuracy guarantees.
 //
+// The primal certificate is windowed (DESIGN.md §9): besides the lifetime
+// flow, every solve certifies the flow routed since each of its last few
+// periodic snapshots, so the misrouting of the burn-in phases stops
+// dragging the certified λ once the lengths have settled.
+//
 // The hot path is engineered for zero steady-state allocations (DESIGN.md
 // §5): CSR adjacency, reusable generation-stamped Dijkstra scratch per
 // batch slot and per worker, a hand-inlined 4-ary heap, early-exit sweeps
@@ -180,9 +185,9 @@ type solver struct {
 	// lengths usually certify a near-tight upper bound immediately, which
 	// is what makes early rejection cheap on warm starts).
 	warmed bool
-	// restart enables the one-shot primal restart (see run); set for
-	// solves made through a Solver handle.
-	restart bool
+	// handle marks solves made through a Solver handle; their feasibility
+	// runs skip the loose volume exit (see run).
+	handle bool
 
 	workers int
 
@@ -205,10 +210,13 @@ type solver struct {
 	sweepFn    func(i int)
 	dualFn     func(worker, gi int)
 
-	// bestFlow snapshots the (already feasibility-scaled) flow certifying
-	// bestLB in restart-capable runs, where the live flow may be dropped
-	// after the certificate was taken (see run).
+	// Windowed primal certificate (see primalStep). window holds
+	// windowSlots snapshots of flow followed by bestFlow, the feasibility-
+	// scaled flow witnessing the best certified λ, in one flat buffer;
+	// snapAt[j] is the phase snapshot j was taken at (0 = empty slot).
+	window   []float64
 	bestFlow []float64
+	snapAt   [windowSlots]int
 
 	// phaseAlpha is Σ_i demand_i · dist(src_i, dst_i) read off the phase's
 	// own batch trees — the ingredient of the free per-phase dual bound
@@ -240,6 +248,19 @@ const sourceBatch = 4
 // few phases.
 const dualRefreshEvery = 8
 
+// restartWindow and windowSlots shape the windowed primal certificate (see
+// primalStep): every restartWindow phases the accumulated flow is
+// snapshotted into a ring of windowSlots, so the certificate can restart
+// its count from any of the last 8 snapshots (up to 128 phases back).
+// Over 60 seeded 24–36-switch RRGs the lifetime bound alone took 18,179
+// phases, a ring of 4 took 12,408, 8 took 10,550 and 16 no fewer; on the
+// 80-switch benchmark instance 4 slots save nothing (609 phases), 8 cut
+// it to 165.
+const (
+	restartWindow = 16
+	windowSlots   = 8
+)
+
 func newSolver(csr *graph.CSR, comms []Commodity, opt Options) *solver {
 	s := &solver{}
 	if !s.init(csr, comms, opt) {
@@ -262,7 +283,7 @@ func (s *solver) init(csr *graph.CSR, comms []Commodity, opt Options) bool {
 	s.workers = parallel.Workers(opt.Workers)
 	s.earlyAccept, s.earlyReject = 0, 0
 	s.warmed = false
-	s.restart = false
+	s.handle = false
 	s.demSum = 0
 	s.phaseAlpha = 0
 
@@ -295,6 +316,10 @@ func (s *solver) init(csr *graph.CSR, comms []Commodity, opt Options) bool {
 	s.length = resizeFloat(s.length, 2*m)
 	s.flow = resizeFloat(s.flow, 2*m)
 	clear(s.flow)
+	s.window = resizeFloat(s.window, (windowSlots+1)*2*m)
+	s.bestFlow = s.window[windowSlots*2*m:]
+	clear(s.bestFlow)
+	s.snapAt = [windowSlots]int{}
 
 	s.groupCommodities()
 
@@ -471,8 +496,6 @@ func (s *solver) run() Result {
 	defer s.obs.solveEnd(solveT)
 	bestLB, bestUB := 0.0, math.Inf(1)
 	phases := 0
-	routedPhases := 0.0 // fractional count of full-demand rounds routed
-	restartRhoPrev := 0.0
 	for phases < s.opt.MaxPhases {
 		// Cooperative cancellation: one poll per phase, so a cancel is
 		// observed after at most the phase in flight completes. Both
@@ -485,63 +508,17 @@ func (s *solver) run() Result {
 		ok := s.phase()
 		s.obs.phaseEnd(phaseT)
 		if !ok {
-			// Some commodity is disconnected: λ = 0. The flow accumulated
+			// Some commodity is disconnected: λ = 0. The flow routed
 			// before the dead end may already overuse capacity (phases are
-			// unscaled), so normalize by the overuse like the main return
-			// does — Result.ArcFlow is documented "(scaled, feasible)".
-			rho := s.maxOveruse()
-			scale := 1.0
-			if rho > 0 {
-				scale = 1 / rho
+			// unscaled), so it is scaled like every witness —
+			// Result.ArcFlow is documented "(scaled, feasible)".
+			if rho := s.maxOveruse(); rho > 0 {
+				s.witness(nil, rho)
 			}
-			return Result{Lambda: 0, UpperBound: 0, Phases: phases, ArcFlow: s.scaledFlow(scale), Edges: s.edges}
+			bestLB, bestUB = 0, 0
+			break
 		}
-		routedPhases++
-		lb := s.primalLambda(routedPhases)
-		if lb > bestLB {
-			bestLB = lb
-			// Result.ArcFlow must be the flow witnessing Result.Lambda. In
-			// a restart-capable run the live flow can be discarded after
-			// bestLB was set, so snapshot the certifying flow (scaled to
-			// feasibility here, so the exit path returns it as-is) whenever
-			// the certificate improves. Plain cold runs keep the historical
-			// exit-time scaling: their flow only ever grows.
-			if s.restart {
-				s.bestFlow = resizeFloat(s.bestFlow, len(s.flow))
-				scale := 1.0
-				if rho := s.maxOveruse(); rho > 0 {
-					scale = 1 / rho
-				}
-				for i, f := range s.flow {
-					s.bestFlow[i] = f * scale
-				}
-			}
-		}
-		// Primal restart: the certified fraction routedPhases/overuse
-		// charges the early phases' misrouting (greedy routing under
-		// still-uninformed lengths) against every later round. Every
-		// restartWindow phases, compare the marginal quality of recent
-		// routing (window / overuse added in the window) with the
-		// certified average: once recent rounds route restartMargin
-		// better than the lifetime average, drop the burn-in flow and
-		// count afresh — the post-restart certificate climbs at the
-		// marginal rate instead of dragging the burn-in forever. Any
-		// feasible flow certifies, so discarding flow is always sound;
-		// bestLB keeps the pre-restart certificate. The trigger reads
-		// solver state only (worker-count invariant), and the margin
-		// makes restarts self-limiting: once the average catches up with
-		// the marginal rate no further restart fires.
-		if s.restart && phases%restartWindow == 0 {
-			rho := s.maxOveruse()
-			if drho := rho - restartRhoPrev; drho > 0 {
-				if marginal := restartWindow / drho; marginal > bestLB*restartMargin {
-					clear(s.flow)
-					routedPhases = 0
-					rho = 0
-				}
-			}
-			restartRhoPrev = rho
-		}
+		bestLB = s.primalStep(phases, bestLB)
 		// Free per-phase dual bound: each source's batch-tree distances were
 		// computed under lengths ≤ the end-of-phase lengths l (lengths only
 		// grow), so phaseAlpha ≤ α(l) and D(l)/phaseAlpha ≥ D(l)/α(l) ≥ λ*
@@ -575,36 +552,91 @@ func (s *solver) run() Result {
 		if bestLB > 0 && (bestUB-bestLB)/bestUB <= s.opt.Tol {
 			break
 		}
-		if s.volume() >= 1 && bestLB > 0 && !(s.restart && s.earlyAccept > 0) {
+		if s.volume() >= 1 && bestLB > 0 && !(s.handle && s.earlyAccept > 0) {
 			// Canonical GK termination; certificates already computed.
 			// Handle-driven feasibility runs skip this loose exit: their
 			// warm seeds start near volume 1 (so a 2×Tol exit here would
 			// systematically weaken the primal certificate right at the
-			// accept threshold), and the primal restart makes reaching
-			// the primary Tol gap cheap. Plain solves keep it — the
-			// canonical cost/quality point — warm or not.
+			// accept threshold), and the windowed certificate makes
+			// reaching the primary Tol gap cheap. Plain solves keep it —
+			// the canonical cost/quality point — warm or not.
 			if (bestUB-bestLB)/bestUB <= 2*s.opt.Tol {
 				break
 			}
 		}
 	}
-	arcFlow := func() []float64 {
-		if s.restart && bestLB > 0 {
-			return append([]float64(nil), s.bestFlow...)
-		}
-		rho := s.maxOveruse()
-		scale := 1.0
-		if rho > 0 {
-			scale = 1 / rho
-		}
-		return s.scaledFlow(scale)
-	}
 	return Result{
 		Lambda:     bestLB,
 		UpperBound: bestUB,
 		Phases:     phases,
-		ArcFlow:    arcFlow(),
+		ArcFlow:    append([]float64(nil), s.bestFlow...),
 		Edges:      s.edges,
+	}
+}
+
+// primalStep folds the phase just routed into the primal certificate:
+// given the best certified λ so far, it returns the new best.
+//
+// Each phase routes every commodity's full demand once, so the flow
+// accumulated since snapshot j routes exactly phases−snapAt[j] rounds, and
+// scaled down by its worst capacity overuse it is feasible: it certifies
+// λ_j = (phases−snapAt[j]) / max_a (flow[a]−snap_j[a])/cap. The lifetime
+// flow is the window from phase 0. Taking the best over the lifetime and
+// every window is sound with no heuristic, and it sheds the drag of plain
+// GK's phases/overuse bound, which charges the burn-in phases' misrouting
+// (greedy routing under still-uninformed lengths) against every later
+// round. Whichever flow wins is written, scaled, into
+// bestFlow, so Result.ArcFlow always witnesses Result.Lambda.
+//
+// Every restartWindow phases the flow is copied into the oldest ring
+// slot. The step reads solver state only, so it is worker-count
+// invariant, and it allocates nothing.
+//
+//jellyvet:hotpath
+func (s *solver) primalStep(phases int, best float64) float64 {
+	arcs := len(s.flow)
+	var win []float64 // base of the winning window; nil = lifetime
+	var winOver float64
+	if rho := s.maxOveruse(); rho > 0 && float64(phases)/rho > best {
+		best, winOver = float64(phases)/rho, rho
+	}
+	for j, at := range s.snapAt {
+		if at == 0 {
+			continue
+		}
+		snap := s.window[j*arcs : (j+1)*arcs]
+		over := 0.0
+		for a, f := range s.flow {
+			if d := f - snap[a]; d > over {
+				over = d
+			}
+		}
+		over /= s.arcCap
+		if over > 0 && float64(phases-at)/over > best {
+			best, win, winOver = float64(phases-at)/over, snap, over
+		}
+	}
+	if winOver > 0 {
+		s.witness(win, winOver)
+	}
+	if phases%restartWindow == 0 {
+		j := (phases/restartWindow - 1) % windowSlots
+		copy(s.window[j*arcs:(j+1)*arcs], s.flow)
+		s.snapAt[j] = phases
+	}
+	return best
+}
+
+// witness writes the flow routed since base (nil = since phase 0), scaled
+// down by its capacity overuse, into bestFlow.
+//
+//jellyvet:hotpath
+func (s *solver) witness(base []float64, over float64) {
+	for a, f := range s.flow {
+		if base != nil {
+			f -= base[a]
+		}
+		s.bestFlow[a] = f / over
 	}
 }
 
@@ -695,17 +727,6 @@ func (s *solver) applyFlow(sc *sweepScratch, dst int32, step float64) {
 	}
 }
 
-// primalLambda computes the certified feasible concurrent fraction for the
-// accumulated flow: routedPhases full-demand rounds scaled down by the
-// maximum capacity overuse.
-func (s *solver) primalLambda(routedPhases float64) float64 {
-	rho := s.maxOveruse()
-	if rho <= 0 {
-		return math.Inf(1)
-	}
-	return routedPhases / rho
-}
-
 //jellyvet:hotpath
 func (s *solver) maxOveruse() float64 {
 	rho := 0.0
@@ -747,12 +768,4 @@ func (s *solver) volume() float64 {
 		d += l * s.arcCap
 	}
 	return d
-}
-
-func (s *solver) scaledFlow(scale float64) []float64 {
-	out := make([]float64, len(s.flow))
-	for i, f := range s.flow {
-		out[i] = f * scale
-	}
-	return out
 }

@@ -98,11 +98,13 @@ func TestDisconnectedResultFlowFeasible(t *testing.T) {
 	}
 }
 
-// The steady-state phase loop — sweeps, routing, free dual bound, exact
-// dual refresh — must not allocate: all Dijkstra state lives in reusable
-// generation-stamped scratch and the fan-out closures are built once at
-// solver construction. One warm-up phase grows the heap backing arrays to
-// their high-water mark first.
+// The steady-state phase loop — sweeps, routing, the windowed primal
+// certificate, free dual bound, exact dual refresh — must not allocate:
+// all Dijkstra state lives in reusable generation-stamped scratch, the
+// snapshot ring is allocated once at init, and the fan-out closures are
+// built once at solver construction. One warm-up phase grows the heap
+// backing arrays to their high-water mark first; the measured phases run
+// past the first wrap of the snapshot ring.
 func TestPhaseLoopZeroAllocs(t *testing.T) {
 	g := ring(16)
 	var comms []Commodity
@@ -110,14 +112,22 @@ func TestPhaseLoopZeroAllocs(t *testing.T) {
 		comms = append(comms, Commodity{i, (i + 5) % 16, 2})
 	}
 	s := newSolver(g.CSR(), comms, Options{Workers: 1}.withDefaults())
+	phases, best := 1, 0.0
 	s.phase()
+	best = s.primalStep(phases, best)
 	s.dualBound()
-	allocs := testing.AllocsPerRun(10, func() {
+	const runs = windowSlots*restartWindow + 2*restartWindow
+	allocs := testing.AllocsPerRun(runs, func() {
+		phases++
 		s.phase()
+		best = s.primalStep(phases, best)
 		s.dualBound()
 	})
 	if allocs != 0 {
 		t.Fatalf("phase loop allocated %v times per phase, want 0", allocs)
+	}
+	if phases <= windowSlots*restartWindow || !(best > 0) {
+		t.Fatalf("ran %d phases (best λ %v); want past the ring wrap at %d", phases, best, windowSlots*restartWindow)
 	}
 }
 

@@ -22,16 +22,19 @@ type sweepScratch struct {
 	dist      []float64 // tentative/final distance; valid iff reach[v] == gen
 	parentArc []int32   // arc entering v on the tree; valid iff reach[v] == gen
 	reach     []uint32  // v touched this sweep iff reach[v] == gen
+	dstMark   []uint32  // v is one of the sweep's destinations iff dstMark[v] == gen
 	gen       uint32
 	heapNode  []int32 // 4-ary min-heap, parallel slices (node, key)
 	heapDist  []float64
 }
 
 func newSweepScratch(n int) *sweepScratch {
+	stamps := make([]uint32, 2*n) // reach and dstMark share one allocation
 	return &sweepScratch{
 		dist:      make([]float64, n),
 		parentArc: make([]int32, n),
-		reach:     make([]uint32, n),
+		reach:     stamps[:n:n],
+		dstMark:   stamps[n:],
 	}
 }
 
@@ -49,8 +52,8 @@ func (sc *sweepScratch) distTo(v int32) float64 {
 }
 
 // sweep runs Dijkstra from src under the solver's current arc lengths,
-// stopping as soon as every vertex in dsts is settled. dsts must be sorted
-// and duplicate-free; an empty dsts settles the whole reachable component.
+// stopping as soon as every vertex in dsts is settled. dsts must be
+// duplicate-free; an empty dsts settles the whole reachable component.
 //
 // Early exit is exact, not approximate: a vertex's distance and parent are
 // final at settle time, so the prefix of the sweep that ran is bit-identical
@@ -69,10 +72,14 @@ func (s *solver) sweep(sc *sweepScratch, src int32, dsts []int32) {
 	gen := sc.gen + 1
 	if gen == 0 { // uint32 wraparound: stamps from 2^32 sweeps ago alias
 		clear(sc.reach)
+		clear(sc.dstMark)
 		gen = 1
 	}
 	sc.gen = gen
-	dist, parent, reach := sc.dist, sc.parentArc, sc.reach
+	dist, parent, reach, dstMark := sc.dist, sc.parentArc, sc.reach, sc.dstMark
+	for _, d := range dsts {
+		dstMark[d] = gen
+	}
 	csrStart, csrArc, arcTo, length := s.csrStart, s.csrArc, s.arcTo, s.length
 	hn, hd := sc.heapNode[:0], sc.heapDist[:0]
 	dist[src] = 0
@@ -80,11 +87,6 @@ func (s *solver) sweep(sc *sweepScratch, src int32, dsts []int32) {
 	reach[src] = gen
 	hn = append(hn, src) //jellyvet:allow hotpath -- push into scratch-owned heap backing; capacity is warm after the first sweep (TestPhaseLoopZeroAllocs)
 	hd = append(hd, 0)   //jellyvet:allow hotpath -- push into scratch-owned heap backing; capacity is warm after the first sweep (TestPhaseLoopZeroAllocs)
-	// Single-destination fast path (permutation traffic: ~1 dst/source).
-	target := int32(-1)
-	if len(dsts) == 1 {
-		target = dsts[0]
-	}
 	pending := len(dsts)
 	for len(hn) > 0 {
 		// pop-min
@@ -121,7 +123,7 @@ func (s *solver) sweep(sc *sweepScratch, src int32, dsts []int32) {
 			continue // stale entry (lazy deletion)
 		}
 		// u is settled.
-		if u == target || (target < 0 && pending > 0 && containsSorted(dsts, u)) {
+		if dstMark[u] == gen {
 			pending--
 			if pending == 0 {
 				break
@@ -153,16 +155,4 @@ func (s *solver) sweep(sc *sweepScratch, src int32, dsts []int32) {
 		}
 	}
 	sc.heapNode, sc.heapDist = hn[:0], hd[:0] // keep grown backing arrays
-}
-
-// containsSorted reports whether sorted list contains v. Destination lists
-// are tiny (permutation traffic has ~1 per source), so a linear scan with
-// the sorted early-out beats binary search.
-func containsSorted(list []int32, v int32) bool {
-	for _, x := range list {
-		if x >= v {
-			return x == v
-		}
-	}
-	return false
 }

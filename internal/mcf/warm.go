@@ -46,18 +46,6 @@ const warmMinOverlap = 0.5
 // accumulate routed rounds first.
 const warmStartVolume = 0.25
 
-// restartWindow and restartMargin parameterize the primal restart of
-// Solver-handle runs (see run): every restartWindow phases the marginal
-// routing quality is compared with the certified average, and the
-// accumulated flow is dropped when the margin is exceeded. The window
-// matches a handful of dual-refresh periods so the marginal estimate is
-// stable; the margin is high enough that a restart only fires while the
-// burn-in still dominates the average.
-const (
-	restartWindow = 16
-	restartMargin = 1.15
-)
-
 // A State is an immutable warm-start snapshot taken after a solve: the
 // final GK length function keyed by the edge list it was computed on,
 // plus the certificates of the producing solve. States are pure values —
@@ -137,7 +125,7 @@ func (sv *Solver) solve(g *graph.Graph, comms []Commodity, warm *State, accept, 
 	if !sv.s.init(g.CSR(), comms, sv.opt) {
 		return Result{Lambda: math.Inf(1), UpperBound: math.Inf(1)}, warm
 	}
-	sv.s.restart = true
+	sv.s.handle = true
 	sv.s.earlyAccept, sv.s.earlyReject = accept, reject
 	sv.s.seedWarm(warm) // after the thresholds: the maturity gate reads them
 	res := sv.s.run()

@@ -1,8 +1,10 @@
 package mcf
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"jellyfish/internal/graph"
@@ -208,34 +210,89 @@ func TestWarmChainSurvivesDegenerateLink(t *testing.T) {
 	}
 }
 
-// Result.ArcFlow must witness Result.Lambda even in restart-capable
-// handle runs, where the live flow can be discarded after the best
-// certificate was taken: the returned flow, pushed through the returned
-// λ's definition (routed rounds / overuse), must certify at least Lambda
-// and respect capacity.
+// Result.ArcFlow must witness Result.Lambda whichever flow won the
+// certificate — the lifetime flow or one of the snapshot windows — for
+// plain and warm-started handle solves alike (a cold handle solve is the
+// plain solve; see TestColdHandleMatchesPackageSolve): the returned flow must
+// respect capacity, carry at least λ·Σdemand of arc volume, and have net
+// outflow λ·(demand sourced − demand sunk) at every switch, as a flow
+// routing λ × every demand does. At least one plain solve must be won by
+// a window (its λ above the final lifetime bound), so window witnesses
+// are what gets checked.
 func TestHandleArcFlowCertifiesLambda(t *testing.T) {
 	g := regularish(40, 8, 1)
+	windowWon := false
+	var st *State
+	sv := NewSolver(Options{Workers: 1})
 	for _, seed := range []int64{2, 3, 4} {
 		comms := permComms(40, 2, seed)
-		sv := NewSolver(Options{Workers: 1})
-		res, _ := sv.Solve(g, comms, nil)
-		opt := Options{}.withDefaults()
-		total := 0.0
-		for i, f := range res.ArcFlow {
-			if f > opt.LinkCapacity+1e-9 {
-				t.Fatalf("seed %d: arc %d flow %v exceeds capacity", seed, i, f)
-			}
-			total += f
+		s := newSolver(g.CSR(), comms, Options{Workers: 1}.withDefaults())
+		plain := s.run()
+		checkWitness(t, fmt.Sprintf("plain seed %d", seed), g, comms, plain)
+		if plain.Lambda > float64(plain.Phases)/s.maxOveruse()*(1+1e-9) {
+			windowWon = true
 		}
-		// A flow shipping λ·demand for every commodity crosses at least
-		// one arc per shipped unit, so its total arc volume is ≥ λ·Σd.
-		demSum := 0.0
-		for _, c := range comms {
-			demSum += c.Demand
+		var warm Result
+		warm, st = sv.Solve(g, comms, st)
+		checkWitness(t, fmt.Sprintf("warm handle seed %d", seed), g, comms, warm)
+	}
+	if !windowWon {
+		t.Fatal("no plain solve was won by a snapshot window; the test no longer covers window witnesses")
+	}
+}
+
+func checkWitness(t *testing.T, name string, g *graph.Graph, comms []Commodity, res Result) {
+	t.Helper()
+	opt := Options{}.withDefaults()
+	net := make([]float64, g.N()) // expected net outflow per switch
+	demSum := 0.0
+	for _, c := range comms {
+		net[c.Src] += res.Lambda * c.Demand
+		net[c.Dst] -= res.Lambda * c.Demand
+		demSum += c.Demand
+	}
+	total := 0.0
+	for i, f := range res.ArcFlow {
+		if f > opt.LinkCapacity+1e-9 {
+			t.Fatalf("%s: arc %d flow %v exceeds capacity", name, i, f)
 		}
-		if total < res.Lambda*demSum*(1-1e-9) {
-			t.Fatalf("seed %d: ArcFlow volume %v cannot witness λ=%v over demand %v (dropped or mis-scaled flow)",
-				seed, total, res.Lambda, demSum)
+		total += f
+		e := res.Edges[i/2]
+		from, to := e.U, e.V
+		if i%2 == 1 {
+			from, to = to, from
+		}
+		net[from] -= f
+		net[to] += f
+	}
+	// A flow shipping λ·demand for every commodity crosses at least one
+	// arc per shipped unit, so its total arc volume is ≥ λ·Σd.
+	if total < res.Lambda*demSum*(1-1e-9) {
+		t.Fatalf("%s: ArcFlow volume %v cannot witness λ=%v over demand %v", name, total, res.Lambda, demSum)
+	}
+	for v, r := range net {
+		if math.Abs(r) > 1e-9*res.Lambda*demSum {
+			t.Fatalf("%s: switch %d conservation residual %v (λ=%v)", name, v, r, res.Lambda)
+		}
+	}
+}
+
+// A cold handle solve runs the same primal certificate, dual side and
+// termination rules as the package-level entry point, so the two are
+// bit-identical — the contract Solver.Solve documents for a nil warm.
+func TestColdHandleMatchesPackageSolve(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		n := 24 + 3*int(seed)
+		g := regularish(n, 6, seed)
+		comms := permComms(n, 1+float64(seed%3), seed+10)
+		want := MaxConcurrentFlow(g, comms, Options{Workers: 1})
+		got, _ := NewSolver(Options{Workers: 1}).Solve(g, comms, nil)
+		if got.Lambda != want.Lambda || got.UpperBound != want.UpperBound || got.Phases != want.Phases {
+			t.Fatalf("seed %d: handle (λ=%v ub=%v ph=%d) != package (λ=%v ub=%v ph=%d)",
+				seed, got.Lambda, got.UpperBound, got.Phases, want.Lambda, want.UpperBound, want.Phases)
+		}
+		if !slices.Equal(got.ArcFlow, want.ArcFlow) {
+			t.Fatalf("seed %d: handle and package ArcFlow differ", seed)
 		}
 	}
 }
