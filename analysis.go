@@ -17,7 +17,8 @@ const (
 	ECMP8 RoutingScheme = iota
 	// ECMP64 is 64-way ECMP.
 	ECMP64
-	// KSP8 is 8-shortest-path routing via Yen's algorithm.
+	// KSP8 is 8-shortest-path routing: the first 8 loopless paths in
+	// (hop count, lexicographic) order.
 	KSP8
 )
 

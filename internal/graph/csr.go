@@ -46,8 +46,10 @@ func (c *CSR) Edges() []Edge { return c.edges }
 
 // BFSInto computes unweighted shortest-path hop counts from src over the
 // snapshot, reusing the caller's buffers: dist must have length N and be
-// pre-filled with Unreachable, queue must have capacity for N entries.
-func (c *CSR) BFSInto(src int32, dist []int32, queue []int32) {
+// pre-filled with Unreachable, queue must have capacity for N entries. It
+// returns the reached vertices in visit order, which is nondecreasing in
+// dist; the slice aliases queue's backing array.
+func (c *CSR) BFSInto(src int32, dist []int32, queue []int32) []int32 {
 	dist[src] = 0
 	queue = append(queue[:0], src)
 	for head := 0; head < len(queue); head++ {
@@ -60,6 +62,7 @@ func (c *CSR) BFSInto(src int32, dist []int32, queue []int32) {
 			}
 		}
 	}
+	return queue
 }
 
 // csrSnap pairs a built snapshot with the graph version it reflects.

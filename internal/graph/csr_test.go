@@ -140,10 +140,23 @@ func TestCSRBFSIntoMatchesBFS(t *testing.T) {
 		for i := range dist {
 			dist[i] = Unreachable
 		}
-		c.BFSInto(int32(s), dist, queue)
+		order := c.BFSInto(int32(s), dist, queue)
+		reached := 0
 		for v := range want {
 			if int(dist[v]) != want[v] {
 				t.Fatalf("src %d vertex %d: dist %d, want %d", s, v, dist[v], want[v])
+			}
+			if want[v] != Unreachable {
+				reached++
+			}
+		}
+		// The visit order lists every reached vertex once, by level.
+		if len(order) != reached || order[0] != int32(s) {
+			t.Fatalf("src %d: order has %d vertices from %d, want %d from %d", s, len(order), order[0], reached, s)
+		}
+		for i := 1; i < len(order); i++ {
+			if dist[order[i]] < dist[order[i-1]] {
+				t.Fatalf("src %d: order not by level at %d", s, i)
 			}
 		}
 	}

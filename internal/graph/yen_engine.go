@@ -2,43 +2,8 @@ package graph
 
 import "sort"
 
-// A KSPEngine computes loopless k-shortest paths with reusable flat
-// scratch: epoch-stamped visited/mask arrays, a preallocated BFS ring
-// queue, and a compact masked-edge list replace the per-call maps and
-// slices of the one-shot algorithm. Results are bit-identical to
-// Graph.KShortestPaths (which delegates here); only the wall-clock and
-// allocation profile differ. The returned paths are freshly allocated and
-// owned by the caller; everything else is engine scratch.
-//
-// An engine is bound to one graph and is NOT safe for concurrent use —
-// give each worker goroutine its own (routing.Compiled does exactly
-// that). Mutating the graph between calls is allowed: the scratch carries
-// no cross-call state beyond its epoch counter, so the next call simply
-// observes the new adjacency.
-type KSPEngine struct {
-	g     *Graph
-	csr   *CSR // refreshed at the top of each Paths call
-	epoch uint32
-	// BFS scratch, valid where stamp == epoch.
-	seen   []uint32
-	dist   []int32
-	parent []int32
-	queue  []int32
-	// Spur masks, valid where stamp == epoch.
-	skipNode []uint32
-	// Masked neighbors of the current spur node. Every edge Yen masks is
-	// p[i]→p[i+1] of a path sharing the spur root — always incident to
-	// the spur node — so the mask is a handful of neighbor ids checked
-	// only when the BFS expands its source.
-	maskedNbrs []int32
-	candidates []Path
-}
-
-// NewKSPEngine returns an engine for g. O(N) memory; cheap enough to
-// build one per worker, too expensive to build one per pair.
-func NewKSPEngine(g *Graph) *KSPEngine {
-	return &KSPEngine{g: g}
-}
+// Yen's k-shortest-paths ranking over flat, reusable scratch, kept as the
+// guard of KSPEngine's distance-guided enumeration.
 
 // bump starts a new epoch, invalidating all stamps at once. On the
 // (practically unreachable) wraparound the stamp arrays are cleared so
@@ -52,31 +17,11 @@ func (e *KSPEngine) bump() {
 	}
 }
 
-func (e *KSPEngine) ensure() {
-	n := e.csr.N()
-	if len(e.seen) >= n {
-		return
-	}
-	e.seen = make([]uint32, n)
-	e.dist = make([]int32, n)
-	e.parent = make([]int32, n)
-	e.queue = make([]int32, n)
-	e.skipNode = make([]uint32, n)
-	e.epoch = 0
-}
-
-// Paths returns up to k loopless shortest src→dst paths in nondecreasing
-// hop-count order with lexicographic tie-breaks — the same contract, and
-// the same bytes, as Graph.KShortestPaths.
-func (e *KSPEngine) Paths(src, dst, k int) []Path {
-	if k <= 0 {
-		return nil
-	}
-	// Refresh the adjacency snapshot: unmutated graphs return the cached
-	// pointer, mutated ones a rebuilt snapshot — which is how "mutating
-	// the graph between calls" keeps working.
-	e.csr = e.g.CSR()
-	e.ensure()
+// yen answers a pair the enumeration gave up on, by Yen's ranking
+// algorithm with lexicographic BFS spurs: the same paths as the
+// enumeration, at a polynomial cost. Callers have refreshed e.csr and
+// sized the scratch.
+func (e *KSPEngine) yen(src, dst, k int) []Path {
 	e.maskedNbrs = e.maskedNbrs[:0]
 	e.bump()
 	first := e.bfs(src, dst, false)
@@ -217,4 +162,37 @@ func (e *KSPEngine) bfs(src, dst int, masked bool) Path {
 		cur = int(e.parent[cur])
 	}
 	return path
+}
+
+func samePrefix(p Path, root Path) bool {
+	if len(p) < len(root) {
+		return false
+	}
+	for i := range root {
+		if p[i] != root[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func containsPath(ps []Path, q Path) bool {
+	for _, p := range ps {
+		if p.Equal(q) {
+			return true
+		}
+	}
+	return false
+}
+
+func lessPath(a, b Path) bool {
+	if len(a) != len(b) {
+		return len(a) < len(b)
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return a[i] < b[i]
+		}
+	}
+	return false
 }

@@ -126,10 +126,75 @@ func randomConnectedGraph(n, extraEdges int, r *rand.Rand) *Graph {
 	return g
 }
 
+// randomRegularGraph builds an r-regular graph on n vertices the way
+// Jellyfish does: join random non-adjacent vertices that have free ports,
+// and when a pick fails, splice a vertex with two free ports into a
+// random edge x–y, replacing it by u–x and u–y. A rare dead end leaves a
+// vertex one port short, which the tests below do not mind.
+func randomRegularGraph(n, r int, src *rand.Rand) *Graph {
+	g := New(n)
+	for try := 0; try < 100*n*r; try++ {
+		var free []int
+		for v := 0; v < n; v++ {
+			if g.Degree(v) < r {
+				free = append(free, v)
+			}
+		}
+		if len(free) == 0 {
+			break
+		}
+		u, v := free[src.Intn(len(free))], free[src.Intn(len(free))]
+		if u != v && !g.HasEdge(u, v) {
+			g.AddEdge(u, v)
+			continue
+		}
+		if r-g.Degree(u) >= 2 {
+			es := g.Edges()
+			e := es[src.Intn(len(es))]
+			if e.U != u && e.V != u && !g.HasEdge(u, e.U) && !g.HasEdge(u, e.V) {
+				g.RemoveEdge(e.U, e.V)
+				g.AddEdge(u, e.U)
+				g.AddEdge(u, e.V)
+			}
+		}
+	}
+	return g
+}
+
+// enumerates reports whether the distance-guided DFS answers the pair
+// within its scan budget, that is, without falling back to Yen.
+func enumerates(e *KSPEngine, src, dst, k int) bool {
+	e.csr = e.g.CSR()
+	e.ensure(k)
+	levels := make([]int32, e.csr.N())
+	for i := range levels {
+		levels[i] = Unreachable
+	}
+	e.csr.BFSInto(int32(dst), levels, make([]int32, 0, e.csr.N()))
+	_, ok := e.enumerate(src, dst, k, levels)
+	return ok
+}
+
+func requireReference(t *testing.T, eng *KSPEngine, g *Graph, src, dst, k int) {
+	t.Helper()
+	want := kShortestPathsReference(g, src, dst, k)
+	got := eng.Paths(src, dst, k, nil)
+	if len(got) != len(want) {
+		t.Fatalf("n=%d %d->%d k=%d: %d paths, want %d", g.N(), src, dst, k, len(got), len(want))
+	}
+	for i := range got {
+		if !got[i].Equal(want[i]) {
+			t.Fatalf("n=%d %d->%d k=%d: path %d = %v, want %v", g.N(), src, dst, k, i, got[i], want[i])
+		}
+	}
+}
+
 // The engine's whole value proposition is scratch reuse without
 // observable effect: one engine driven across many pairs, many k values,
 // and interleaved sparse/dense graphs must reproduce the reference
-// algorithm byte for byte.
+// algorithm byte for byte. The degree-8 random regular graphs of 64–128
+// vertices at k=8 are the production shape (the transport evaluations'
+// ksp8 tables), where the enumeration must also never need its guard.
 func TestKSPEngineMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 6; trial++ {
@@ -137,20 +202,52 @@ func TestKSPEngineMatchesReference(t *testing.T) {
 		g := randomConnectedGraph(n, n+r.Intn(3*n), r)
 		eng := NewKSPEngine(g)
 		for pair := 0; pair < 40; pair++ {
+			requireReference(t, eng, g, r.Intn(n), r.Intn(n), 1+r.Intn(10))
+		}
+	}
+	for _, n := range []int{64, 96, 128} {
+		g := randomRegularGraph(n, 8, r)
+		eng := NewKSPEngine(g)
+		for pair := 0; pair < 60; pair++ {
 			src, dst := r.Intn(n), r.Intn(n)
-			k := 1 + r.Intn(10)
-			want := kShortestPathsReference(g, src, dst, k)
-			got := eng.Paths(src, dst, k)
-			if len(got) != len(want) {
-				t.Fatalf("n=%d %d->%d k=%d: %d paths, want %d", n, src, dst, k, len(got), len(want))
-			}
-			for i := range got {
-				if !got[i].Equal(want[i]) {
-					t.Fatalf("n=%d %d->%d k=%d: path %d = %v, want %v", n, src, dst, k, i, got[i], want[i])
-				}
+			requireReference(t, eng, g, src, dst, 8)
+			if src != dst && !enumerates(eng, src, dst, 8) {
+				t.Fatalf("n=%d %d->%d: the enumeration hit its scan budget", n, src, dst)
 			}
 		}
 	}
+}
+
+// A 14-vertex clique hung off src behind a cut vertex defeats the
+// distance bound: every pass past the two real paths explores the
+// clique's simple paths, exponentially many, none of which can return to
+// dst. The scan budget must stop the enumeration and Yen must answer the
+// pair exactly; without the guard this test would not finish.
+func TestKSPEngineGuardOnCliqueBehindCutVertex(t *testing.T) {
+	const clique = 14
+	// 0 = src, 1 = dst, 2 = cut vertex, 3..16 = clique, 17-18 = detour.
+	g := New(3 + clique + 2)
+	g.AddEdge(0, 1)
+	g.AddEdge(0, 2)
+	for u := 3; u < 3+clique; u++ {
+		g.AddEdge(2, u)
+		for v := u + 1; v < 3+clique; v++ {
+			g.AddEdge(u, v)
+		}
+	}
+	g.AddEdge(0, 17)
+	g.AddEdge(17, 18)
+	g.AddEdge(18, 1)
+	eng := NewKSPEngine(g)
+	if enumerates(eng, 0, 1, 8) {
+		t.Fatal("the enumeration answered without hitting its scan budget")
+	}
+	requireReference(t, eng, g, 0, 1, 8)
+	if got := eng.Paths(0, 1, 8, nil); len(got) != 2 {
+		t.Fatalf("got %v, want the direct path and the detour", got)
+	}
+	// The abandoned search left the scratch clean for the next pair.
+	requireReference(t, eng, g, 3, 1, 8)
 }
 
 // One-shot KShortestPaths delegates to the engine; pin the delegation on
@@ -162,10 +259,10 @@ func TestKSPEngineEdgeCases(t *testing.T) {
 		t.Fatalf("disconnected pair returned %v", got)
 	}
 	eng := NewKSPEngine(g)
-	if got := eng.Paths(2, 2, 3); len(got) != 1 || !got[0].Equal(Path{2}) {
+	if got := eng.Paths(2, 2, 3, nil); len(got) != 1 || !got[0].Equal(Path{2}) {
 		t.Fatalf("self pair returned %v", got)
 	}
-	if got := eng.Paths(0, 1, 0); got != nil {
+	if got := eng.Paths(0, 1, 0, nil); got != nil {
 		t.Fatalf("k=0 returned %v", got)
 	}
 }
@@ -177,12 +274,12 @@ func TestKSPEngineSeesMutations(t *testing.T) {
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 3)
 	eng := NewKSPEngine(g)
-	if got := eng.Paths(0, 3, 2); len(got) != 1 {
+	if got := eng.Paths(0, 3, 2, nil); len(got) != 1 {
 		t.Fatalf("before mutation: %v", got)
 	}
 	g.AddEdge(0, 2)
 	g.AddEdge(2, 3)
-	got := eng.Paths(0, 3, 4)
+	got := eng.Paths(0, 3, 4, nil)
 	want := kShortestPathsReference(g, 0, 3, 4)
 	if len(got) != len(want) {
 		t.Fatalf("after mutation: %v, want %v", got, want)

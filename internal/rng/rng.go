@@ -27,18 +27,24 @@ func (s *Source) Seed() uint64 { return s.seed }
 // Split with the same label always yields the same stream, regardless of how
 // much the parent stream has been consumed.
 func (s *Source) Split(label string) *Source {
-	h := s.seed
-	for i := 0; i < len(label); i++ {
-		h = (h ^ uint64(label[i])) * 0x100000001b3
-	}
-	return New(mix(h))
+	return New(s.labelSeed(label))
 }
 
 // SplitN derives an independent source for the i-th trial of the named
 // sub-component.
 func (s *Source) SplitN(label string, i int) *Source {
-	h := s.Split(label).seed
-	return New(mix(h ^ (0x9e3779b97f4a7c15 * uint64(i+1))))
+	return New(mix(s.labelSeed(label) ^ (0x9e3779b97f4a7c15 * uint64(i+1))))
+}
+
+// labelSeed is the seed Split(label) hands to New: an FNV-style hash of
+// the label over this source's seed, then mixed. SplitN derives from the
+// same value without seeding a generator for it.
+func (s *Source) labelSeed(label string) uint64 {
+	h := s.seed
+	for i := 0; i < len(label); i++ {
+		h = (h ^ uint64(label[i])) * 0x100000001b3
+	}
+	return mix(h)
 }
 
 // mix is the SplitMix64 finalizer; it decorrelates nearby seeds.

@@ -97,3 +97,29 @@ func TestShuffleInts(t *testing.T) {
 		t.Fatal("shuffle changed multiset")
 	}
 }
+
+// Every stream in the repository is derived through Split and SplitN, so
+// their seed derivation is pinned: a change here would silently move
+// every figure, table and response byte.
+func TestSplitSeedsGolden(t *testing.T) {
+	for _, tc := range []struct {
+		seed  uint64
+		label string
+		split uint64
+		n     map[int]uint64
+	}{
+		{0, "", 0xe220a8397b1dcdaf, map[int]uint64{0: 0x7d91d4c3fe86f0de, 1: 0x8249d16640921b3e, 17: 0x1d64fbdfd822daf4}},
+		{0, "transport", 0x4928bd7a3cf36a69, map[int]uint64{0: 0xed65b24e8f6c5904, 1: 0xe633fa02de4ab63a, 17: 0x2dc74590b6528c30}},
+		{42, "ecmp-src", 0xdc1c8f66b44e5883, map[int]uint64{0: 0x513ecb7334650442, 1: 0xcdc4337e36c67e86, 17: 0x20c91f4a3d717844}},
+		{1 << 40, "transport", 0x6530cb8051898e64, map[int]uint64{0: 0x376c2898c9d21c46, 1: 0x54a0e2eb75a94611, 17: 0x6e9d41a0aef33200}},
+	} {
+		if got := New(tc.seed).Split(tc.label).Seed(); got != tc.split {
+			t.Errorf("New(%d).Split(%q).Seed() = %#x, want %#x", tc.seed, tc.label, got, tc.split)
+		}
+		for i, want := range tc.n {
+			if got := New(tc.seed).SplitN(tc.label, i).Seed(); got != want {
+				t.Errorf("New(%d).SplitN(%q, %d).Seed() = %#x, want %#x", tc.seed, tc.label, i, got, want)
+			}
+		}
+	}
+}

@@ -10,12 +10,13 @@ import (
 )
 
 // A Compiled instance is the reusable routing state of one switch graph:
-// it memoizes the pure, expensive pieces of table construction — Yen
-// k-shortest path sets per (src, dst, k) and the per-source BFS
-// distance/path-count state behind ECMP sampling — so repeated table
-// builds over the same topology (Table 1's three protocols × trials, a
-// capacity search's trials within one probe, the planning service's
-// repeated transport evaluations) stop recomputing them.
+// it memoizes the pure, expensive pieces of table construction — k-shortest
+// path sets per (src, dst, k), each vertex's BFS levels, and the per-source
+// shortest-path counts behind ECMP sampling — so repeated table builds
+// over the same topology (Table 1's three protocols × trials, a capacity
+// search's trials within one probe, the planning service's repeated
+// transport evaluations) stop recomputing them. One level memo serves
+// both protocols: ECMP reads a source's levels, kSP a destination's.
 //
 // Tables built through a Compiled instance are bit-identical to the
 // package-level ECMP/KShortest constructors: the memoized values are pure
@@ -32,26 +33,32 @@ type Compiled struct {
 	g   *graph.Graph
 	csr *graph.CSR // adjacency snapshot taken at NewCompiled
 
-	mu   sync.Mutex
-	ksp  map[kspKey][]graph.Path
-	ecmp map[int]*ecmpSource
+	mu     sync.Mutex
+	ksp    map[kspKey][]graph.Path
+	vertex []*vertexState // by vertex id, created on first use
 }
 
 type kspKey struct {
 	src, dst, k int32
 }
 
-// ecmpSource is the sampling-independent per-source state of ECMP table
-// construction: BFS levels and shortest-path counts.
-type ecmpSource struct {
-	dist    []int
-	npaths  []float64
-	unblock chan struct{} // closed when dist/npaths are ready
+// vertexState is the memoized BFS state of one vertex: its levels (hop
+// counts, graph.Unreachable where unreached) with the BFS visit order, and
+// — built only when the vertex is an ECMP source — its shortest-path
+// counts. Each part is computed once, outside the instance lock.
+type vertexState struct {
+	levelsOnce sync.Once
+	dist       []int32
+	order      []int32
+
+	countsOnce sync.Once
+	npaths     []float64
 }
 
 // NewCompiled returns an empty compiled instance for g.
 func NewCompiled(g *graph.Graph) *Compiled {
-	return &Compiled{g: g, csr: g.CSR(), ksp: map[kspKey][]graph.Path{}, ecmp: map[int]*ecmpSource{}}
+	csr := g.CSR()
+	return &Compiled{g: g, csr: csr, ksp: map[kspKey][]graph.Path{}, vertex: make([]*vertexState, csr.N())}
 }
 
 // Graph returns the graph this instance was compiled against.
@@ -59,9 +66,9 @@ func (c *Compiled) Graph() *graph.Graph { return c.g }
 
 // KShortest builds the k-shortest-path table for the given pairs,
 // computing only the pairs this instance has not seen before (fanned out
-// over `workers` goroutines, each with its own flat-scratch KSPEngine)
-// and serving the rest from the memo. Bit-identical to the package-level
-// KShortest.
+// over `workers` goroutines, each with its own flat-scratch KSPEngine fed
+// the destination's memoized levels) and serving the rest from the memo.
+// Bit-identical to the package-level KShortest.
 func (c *Compiled) KShortest(pairs []Pair, k, workers int) *Table {
 	t := &Table{Paths: make(map[Pair][]graph.Path, len(pairs)), Kind: kindName("ksp", k)}
 	uniq := dedupPairs(pairs)
@@ -81,7 +88,8 @@ func (c *Compiled) KShortest(pairs []Pair, k, workers int) *Table {
 			if engines[worker] == nil {
 				engines[worker] = graph.NewKSPEngine(c.g)
 			}
-			return engines[worker].Paths(missing[i].Src, missing[i].Dst, k)
+			p := missing[i]
+			return engines[worker].Paths(p.Src, p.Dst, k, c.levels(p.Dst).dist)
 		})
 		c.mu.Lock()
 		for i, p := range missing {
@@ -101,9 +109,9 @@ func (c *Compiled) KShortest(pairs []Pair, k, workers int) *Table {
 // ECMP builds an equal-cost multipath table for the given pairs, sampling
 // from src exactly like the package-level ECMP — per-source streams
 // derived by source id, destinations visited in first-appearance order —
-// but over memoized per-source BFS state, so repeated builds on one graph
-// pay the sampling cost only. Bit-identical to the package-level ECMP for
-// the same (pairs, w, src).
+// but over memoized per-source levels and counts, so repeated builds on
+// one graph pay the sampling cost only. Bit-identical to the package-level
+// ECMP for the same (pairs, w, src).
 func (c *Compiled) ECMP(pairs []Pair, w int, src *rng.Source, workers int) *Table {
 	t := &Table{Paths: make(map[Pair][]graph.Path, len(pairs)), Kind: kindName("ecmp", w)}
 	uniq := dedupPairs(pairs)
@@ -119,10 +127,11 @@ func (c *Compiled) ECMP(pairs []Pair, w int, src *rng.Source, workers int) *Tabl
 	groups := parallel.Map(workers, len(srcs), func(i int) [][]graph.Path {
 		s := srcs[i]
 		ssrc := src.SplitN("ecmp-src", s)
-		es := c.source(s)
+		vs := c.levels(s)
+		npaths := c.counts(vs)
 		out := make([][]graph.Path, len(bySrc[s]))
 		for j, dst := range bySrc[s] {
-			out[j] = sampleEqualCostPaths(c.csr, s, dst, es.dist, es.npaths, w, ssrc)
+			out[j] = sampleEqualCostPaths(c.csr, s, dst, vs.dist, npaths, w, ssrc)
 		}
 		return out
 	})
@@ -134,22 +143,30 @@ func (c *Compiled) ECMP(pairs []Pair, w int, src *rng.Source, workers int) *Tabl
 	return t
 }
 
-// source returns the memoized BFS state for s, computing it on first use.
-// Concurrent first users coordinate through the entry's ready channel so
-// the BFS runs once and nobody holds the instance lock while it does.
-func (c *Compiled) source(s int) *ecmpSource {
+// levels returns v's memoized state with its levels computed.
+func (c *Compiled) levels(v int) *vertexState {
 	c.mu.Lock()
-	es, ok := c.ecmp[s]
-	if !ok {
-		es = &ecmpSource{unblock: make(chan struct{})}
-		c.ecmp[s] = es
-		c.mu.Unlock()
-		es.dist = bfsLevels(c.csr, s)
-		es.npaths = pathCounts(c.csr, s, es.dist)
-		close(es.unblock)
-		return es
+	vs := c.vertex[v]
+	if vs == nil {
+		vs = &vertexState{}
+		c.vertex[v] = vs
 	}
 	c.mu.Unlock()
-	<-es.unblock
-	return es
+	vs.levelsOnce.Do(func() {
+		n := c.csr.N()
+		buf := make([]int32, 2*n)
+		vs.dist = buf[:n]
+		for i := range vs.dist {
+			vs.dist[i] = graph.Unreachable
+		}
+		vs.order = c.csr.BFSInto(int32(v), vs.dist, buf[n:n])
+	})
+	return vs
+}
+
+// counts returns the shortest-path counts from the vertex whose levels vs
+// holds, computing them on first use.
+func (c *Compiled) counts(vs *vertexState) []float64 {
+	vs.countsOnce.Do(func() { vs.npaths = pathCounts(c.csr, vs.dist, vs.order) })
+	return vs.npaths
 }

@@ -3,6 +3,7 @@ package routing
 import (
 	"testing"
 
+	"jellyfish/internal/graph"
 	"jellyfish/internal/rng"
 	"jellyfish/internal/topology"
 )
@@ -50,6 +51,34 @@ func TestCompiledMatchesOneShot(t *testing.T) {
 			// Different k must not collide in the memo.
 			tablesEqual(t, "ksp4", KShortest(g, pairs, 4, 1), c.KShortest(pairs, 4, 1))
 			tablesEqual(t, "ecmp", ECMP(g, pairs, 8, rng.New(99), 1), c.ECMP(pairs, 8, rng.New(99), 2))
+		}
+	}
+}
+
+// KShortest feeds each engine the destination's memoized levels, shared
+// with ECMP sources; the tables must equal engine calls that compute
+// their own levels, on the same pairs.
+func TestCompiledKShortestMatchesEngine(t *testing.T) {
+	top := topology.Jellyfish(96, 12, 8, rng.New(17))
+	g := top.Graph
+	var pairs []Pair
+	for s := 0; s < 96; s += 3 {
+		pairs = append(pairs, Pair{s, (s + 41) % 96}, Pair{(s + 41) % 96, s})
+	}
+	c := NewCompiled(g)
+	c.ECMP(pairs, 8, rng.New(1), 2) // memoize the sources' levels first
+	got := c.KShortest(pairs, 8, 2)
+	eng := graph.NewKSPEngine(g)
+	for _, p := range pairs {
+		want := eng.Paths(p.Src, p.Dst, 8, nil)
+		ps := got.PathsFor(p.Src, p.Dst)
+		if len(ps) != len(want) {
+			t.Fatalf("pair %v: %d paths, engine %d", p, len(ps), len(want))
+		}
+		for i := range ps {
+			if !ps[i].Equal(want[i]) {
+				t.Fatalf("pair %v path %d = %v, engine %v", p, i, ps[i], want[i])
+			}
 		}
 	}
 }

@@ -1,11 +1,18 @@
 // Package routing builds the forwarding state evaluated in §5 of the paper:
-// ECMP (equal-cost multi-path over shortest paths, 8- or 64-way) and Yen's
-// k-shortest-path routing, plus the per-link distinct-path counts behind
+// ECMP (equal-cost multi-path over shortest paths, 8- or 64-way) and
+// k-shortest-path routing (the first k loopless paths in hop-count, then
+// lexicographic, order), plus the per-link distinct-path counts behind
 // Fig. 9's "ECMP is not enough" result.
+//
+// Both protocols run over one memo per topology (Compiled): each vertex's
+// BFS levels are computed once and read by ECMP as a source's distances
+// and by k-shortest paths as a destination's distance-to-go, the bound
+// that guides graph.KSPEngine's enumeration.
 package routing
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"jellyfish/internal/graph"
@@ -29,10 +36,11 @@ func (t *Table) PathsFor(src, dst int) []graph.Path {
 	return t.Paths[Pair{src, dst}]
 }
 
-// KShortest builds a k-shortest-path table for the given pairs using Yen's
-// algorithm on the switch graph. The per-pair computations are independent
-// and fan out over `workers` goroutines (0 = all cores); the table is
-// identical for every worker count. One-shot form of Compiled.KShortest.
+// KShortest builds a k-shortest-path table for the given pairs with
+// graph.KSPEngine on the switch graph. The per-pair computations are
+// independent and fan out over `workers` goroutines (0 = all cores); the
+// table is identical for every worker count. One-shot form of
+// Compiled.KShortest.
 func KShortest(g *graph.Graph, pairs []Pair, k, workers int) *Table {
 	return NewCompiled(g).KShortest(pairs, k, workers)
 }
@@ -65,49 +73,15 @@ func dedupPairs(pairs []Pair) []Pair {
 	return out
 }
 
-// bfsLevels computes BFS hop counts from s over the snapshot, with
-// graph.Unreachable for unreached vertices — the same output as
-// Graph.BFS, read off the compact adjacency.
-func bfsLevels(c *graph.CSR, s int) []int {
-	n := c.N()
-	dist := make([]int, n)
-	for i := range dist {
-		dist[i] = graph.Unreachable
-	}
-	dist[s] = 0
-	queue := make([]int32, 1, n)
-	queue[0] = int32(s)
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		du := dist[u] + 1
-		for _, v := range c.Neighbors(int(u)) {
-			if dist[v] == graph.Unreachable {
-				dist[v] = du
-				queue = append(queue, v)
-			}
-		}
-	}
-	return dist
-}
-
-// pathCounts computes the number of shortest paths from s to every vertex
-// by DP in BFS-distance order.
-func pathCounts(c *graph.CSR, s int, dist []int) []float64 {
-	n := c.N()
-	order := make([]int, 0, n)
-	for v := 0; v < n; v++ {
-		if dist[v] != graph.Unreachable {
-			order = append(order, v)
-		}
-	}
-	sort.Slice(order, func(i, j int) bool { return dist[order[i]] < dist[order[j]] })
-	np := make([]float64, n)
-	np[s] = 1
-	for _, v := range order {
-		if v == s {
-			continue
-		}
-		for _, u := range c.Neighbors(v) {
+// pathCounts computes the number of shortest paths from the BFS source to
+// every vertex by DP over the BFS visit order (order[0] is the source).
+// Each vertex sums its predecessors in adjacency order, so the float bits
+// depend only on the levels, not on the order within a level.
+func pathCounts(c *graph.CSR, dist, order []int32) []float64 {
+	np := make([]float64, c.N())
+	np[order[0]] = 1
+	for _, v := range order[1:] {
+		for _, u := range c.Neighbors(int(v)) {
 			if dist[u] == dist[v]-1 {
 				np[v] += np[u]
 			}
@@ -120,8 +94,9 @@ func pathCounts(c *graph.CSR, s int, dist []int) []float64 {
 // paths from s to dst. If the DAG holds ≤ w paths they are all returned
 // (enumerated exhaustively — rejection sampling could terminate early and
 // silently drop paths the table contract promises); otherwise rejection
-// sampling collects w distinct ones.
-func sampleEqualCostPaths(c *graph.CSR, s, dst int, dist []int, npaths []float64, w int, src *rng.Source) []graph.Path {
+// sampling collects w distinct ones. The paths, all of one length, share
+// one slab and come out in lexicographic order.
+func sampleEqualCostPaths(c *graph.CSR, s, dst int, dist []int32, npaths []float64, w int, src *rng.Source) []graph.Path {
 	if dist[dst] == graph.Unreachable {
 		return nil
 	}
@@ -133,21 +108,22 @@ func sampleEqualCostPaths(c *graph.CSR, s, dst int, dist []int, npaths []float64
 		// npaths saturates only far above any practical w, so in this
 		// regime the count is exact and enumeration is cheap: the DAG
 		// holds at most w paths.
-		return enumerateEqualCostPaths(c, s, dst, dist)
+		return enumerateEqualCostPaths(c, s, dst, dist, int(total))
 	}
-	want := w
-	seen := map[string]bool{}
-	var out []graph.Path
-	attempts := 0
+	size := int(dist[dst]) + 1
+	slab := make([]int, w*size)
+	out := make([]graph.Path, 0, w)
 	maxAttempts := 20 * w
-	for len(out) < want && attempts < maxAttempts {
-		attempts++
+	for attempts := 0; len(out) < w && attempts < maxAttempts; attempts++ {
 		// Walk backwards from dst, choosing each predecessor u with
-		// probability npaths[u]/Σ — a uniform random shortest path.
-		path := make(graph.Path, dist[dst]+1)
-		path[len(path)-1] = dst
+		// probability npaths[u]/Σ — a uniform random shortest path. The
+		// draw goes into the next free slot, which a duplicate leaves
+		// free.
+		off := len(out) * size
+		path := graph.Path(slab[off : off+size : off+size])
+		path[size-1] = dst
 		v := dst
-		for i := len(path) - 2; i >= 0; i-- {
+		for i := size - 2; i >= 0; i-- {
 			var sum float64
 			for _, u := range c.Neighbors(v) {
 				if dist[u] == dist[v]-1 {
@@ -168,28 +144,31 @@ func sampleEqualCostPaths(c *graph.CSR, s, dst int, dist []int, npaths []float64
 			v = next
 			path[i] = v
 		}
-		key := pathKey(path)
-		if !seen[key] {
-			seen[key] = true
+		if !slices.ContainsFunc(out, path.Equal) {
 			out = append(out, path)
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return lessPath(out[a], out[b]) })
+	slices.SortFunc(out, slices.Compare[graph.Path])
 	return out
 }
 
-// enumerateEqualCostPaths returns every shortest s→dst path, in lessPath
-// order, by walking the shortest-path DAG backwards from dst (predecessors
-// of v are the neighbors one BFS level closer to s). Callers bound the
-// path count before enumerating.
-func enumerateEqualCostPaths(c *graph.CSR, s, dst int, dist []int) []graph.Path {
-	var out []graph.Path
-	stack := make(graph.Path, dist[dst]+1)
-	stack[len(stack)-1] = dst
+// enumerateEqualCostPaths returns all count shortest s→dst paths, in
+// lexicographic order, by walking the shortest-path DAG backwards from dst
+// (predecessors of v are the neighbors one BFS level closer to s). The
+// paths share one slab.
+func enumerateEqualCostPaths(c *graph.CSR, s, dst int, dist []int32, count int) []graph.Path {
+	size := int(dist[dst]) + 1
+	slab := make([]int, count*size)
+	out := make([]graph.Path, 0, count)
+	stack := make(graph.Path, size)
+	stack[size-1] = dst
 	var walk func(v, i int)
 	walk = func(v, i int) {
 		if v == s {
-			out = append(out, append(graph.Path(nil), stack...))
+			off := len(out) * size
+			p := graph.Path(slab[off : off+size : off+size])
+			copy(p, stack)
+			out = append(out, p)
 			return
 		}
 		for _, u := range c.Neighbors(v) {
@@ -199,29 +178,9 @@ func enumerateEqualCostPaths(c *graph.CSR, s, dst int, dist []int) []graph.Path 
 			}
 		}
 	}
-	walk(dst, len(stack)-1)
-	sort.Slice(out, func(a, b int) bool { return lessPath(out[a], out[b]) })
+	walk(dst, size-1)
+	slices.SortFunc(out, slices.Compare[graph.Path])
 	return out
-}
-
-func pathKey(p graph.Path) string {
-	b := make([]byte, 0, 4*len(p))
-	for _, v := range p {
-		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	return string(b)
-}
-
-func lessPath(a, b graph.Path) bool {
-	if len(a) != len(b) {
-		return len(a) < len(b)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
 }
 
 // LinkLoad counts, for every directed link, the number of distinct table

@@ -232,7 +232,7 @@ func TestTablesIdenticalAcrossWorkerCounts(t *testing.T) {
 				return false
 			}
 			for i := range pa {
-				if pathKey(pa[i]) != pathKey(pb[i]) {
+				if !pa[i].Equal(pb[i]) {
 					return false
 				}
 			}
