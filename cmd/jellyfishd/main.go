@@ -11,7 +11,6 @@
 //
 //	GET  /healthz                  liveness probe
 //	GET  /metrics                  Prometheus text exposition (scheduler, caches, kernels, job store)
-//	GET  /v1/stats                 scheduler and cache counters
 //	GET  /v1/trace/{id}            finished job's recorded span tree (flight recorder)
 //	POST /v1/design                construct a Jellyfish, return stats + blueprint
 //	POST /v1/evaluate              optimal-routing throughput (random permutation)

@@ -151,8 +151,8 @@ curl -fsS "$BASE/v1/jobs/$ID2/result"; echo
 echo "== job $ID survived the restart too"
 curl -fsS "$BASE/v1/jobs/$ID" | head -c 200; echo " ..."
 
-echo "== scheduler stats"
-curl -fsS "$BASE/v1/stats"; echo
+echo "== scheduler counters (cache hits/misses per worker and tier, dedups)"
+curl -fsS "$BASE/metrics" | grep -E '^jellyfishd_(cache_(hits|misses)_total|sched_deduped_total)'
 
 # ---------------------------------------------------------------------
 # Failure-containment walkthrough (DESIGN.md §16): per-client quotas,

@@ -317,7 +317,9 @@ func (p *prober) feasible(servers int) (bool, error) {
 		// per GK phase). A truncated solve returns sound but premature
 		// certificates — feasible traffic could read as infeasible — so
 		// re-poll before trusting the verdict: a fired interrupt
-		// discards the tainted trial instead of misreading it.
+		// discards the tainted trial instead of misreading it. This
+		// relies on the interrupt staying true once it has fired, as
+		// the service's latched worker poll does.
 		if p.cfg.Interrupt != nil && p.cfg.Interrupt() {
 			return false, ErrInterrupted
 		}

@@ -170,16 +170,18 @@ type Sim struct {
 
 	// interrupt, when set, is polled once per filling round; a firing
 	// poll stops the simulation early with partial rates. Callers that
-	// interrupt must discard the Result (the service checks ctx.Err()
-	// after every kernel call). Nil — or never firing — leaves results
-	// byte-identical; the poll itself allocates nothing.
+	// interrupt must discard the Result (the service's shard worker
+	// latches its poll and refuses every result once it has fired).
+	// Nil — or never firing — leaves results byte-identical; the poll
+	// itself allocates nothing.
 	interrupt func() bool
 }
 
 // SetInterrupt installs (nil clears) the cooperative cancellation poll
 // (see the interrupt field). Confinement note: a Sim cached as warm
-// state is owned by one shard worker, which sets the poll before a job
-// and clears it after — never concurrently with Simulate.
+// state is owned by one shard worker, which installs the worker's own
+// poll once, when it creates the Sim — never concurrently with
+// Simulate.
 func (s *Sim) SetInterrupt(f func() bool) { s.interrupt = f }
 
 // NewSim returns a Sim pre-sized for the given switch and server counts.

@@ -73,9 +73,10 @@ type Options struct {
 	// is allocation-free and, while Interrupt keeps returning false,
 	// has no effect on the computation — results are byte-identical to
 	// a solve without it. A truncated result is NOT marked: callers
-	// that interrupt must discard the result themselves (the service
-	// checks ctx.Err() after every kernel call), and warm-start chains
-	// are safe regardless because seedWarm rejects unconverged states.
+	// that interrupt must discard the result themselves (the service's
+	// shard worker latches its poll and refuses every result once it
+	// has fired), and warm-start chains are safe regardless because
+	// seedWarm rejects unconverged states.
 	Interrupt func() bool
 }
 

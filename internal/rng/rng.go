@@ -58,8 +58,3 @@ func mix(z uint64) uint64 {
 // Perm returns a random permutation of n elements, like rand.Perm but
 // guaranteed to use this source.
 func (s *Source) Perm(n int) []int { return s.Rand.Perm(n) }
-
-// Shuffle shuffles the ints in place.
-func (s *Source) ShuffleInts(xs []int) {
-	s.Rand.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-}

@@ -420,17 +420,3 @@ type TraceResponse struct {
 	JobID string           `json:"jobId"`
 	Trace *telemetry.Trace `json:"trace"`
 }
-
-// StatsResponse reports scheduler and cache counters (diagnostics; not
-// covered by the determinism guarantee).
-type StatsResponse struct {
-	Workers      int   `json:"workers"`
-	ResultHits   int64 `json:"resultHits"`
-	ResultMisses int64 `json:"resultMisses"`
-	FamilyHits   int64 `json:"familyHits"`
-	ChainHits    int64 `json:"chainHits"`
-	SimHits      int64 `json:"simHits"`
-	Deduped      int64 `json:"deduped"`
-	SyncRejected int64 `json:"syncRejected"`
-	CacheEntries int   `json:"cacheEntries"`
-}

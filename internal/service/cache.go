@@ -15,6 +15,10 @@ type lru struct {
 	cap   int
 	order *list.List // front = most recently used
 	items map[string]*list.Element
+	// refuse is the owning worker's cancellation latch: while it reports
+	// true, put stores nothing, because the value may come from an
+	// interrupted kernel (see worker.interrupted).
+	refuse func() bool
 }
 
 type lruEntry struct {
@@ -22,8 +26,8 @@ type lruEntry struct {
 	val any
 }
 
-func newLRU(capacity int) *lru {
-	return &lru{cap: capacity, order: list.New(), items: make(map[string]*list.Element)}
+func newLRU(capacity int, refuse func() bool) *lru {
+	return &lru{cap: capacity, order: list.New(), items: make(map[string]*list.Element), refuse: refuse}
 }
 
 func (c *lru) get(key string) (any, bool) {
@@ -36,6 +40,9 @@ func (c *lru) get(key string) (any, bool) {
 }
 
 func (c *lru) put(key string, val any) {
+	if c.refuse() {
+		return
+	}
 	if el, ok := c.items[key]; ok {
 		el.Value.(*lruEntry).val = val
 		c.order.MoveToFront(el)

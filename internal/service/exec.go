@@ -157,16 +157,20 @@ type simAsset struct {
 // filled in lazily on the first evaluate over the family — every field
 // is a pure function of the digest, so the entry stays
 // cache-state-invisible either way.
+//
+// The simulator's interrupt is the worker's poll, installed once here:
+// the asset never leaves this worker, and the poll always reads the
+// task executing now, so no borrower has to re-install its own.
 func transportAsset(w *worker, mat materialized, needTopology bool) *simAsset {
 	key := "sim:" + mat.digest
 	var a *simAsset
 	if v, ok := w.cache.get(key); ok {
-		w.stats.simHits.Add(1)
 		w.tele.simHits.Inc()
 		a = v.(*simAsset)
 	} else {
 		w.tele.simMisses.Inc()
 		a = &simAsset{sim: flowsim.NewSim(0, mat.servers)}
+		a.sim.SetInterrupt(w.interrupted)
 		w.cache.put(key, a)
 	}
 	if needTopology && a.top == nil {
@@ -232,26 +236,17 @@ func planEvaluate(req *EvaluateRequest) (*plan, *apiError) {
 		run: func(ctx context.Context, w *worker) (any, error) {
 			resp := &EvaluateResponse{Throughputs: make([]float64, 0, req.Trials)}
 			sum := 0.0
-			// Thread this request's cancellation into the kernels so a
-			// cancel lands mid-trial (one solver phase, one sim filling
-			// round) instead of waiting out the whole trial. A truncated
-			// kernel can return a partial value, so every trial that could
-			// have been interrupted is followed by a ctx re-check before
-			// its value is trusted — and the final check below keeps a
-			// partial last trial out of the response cache.
-			intr := func() bool { return ctx.Err() != nil }
+			// The kernels poll the worker's latch, so a cancel lands
+			// mid-trial (one solver phase, one sim filling round); the
+			// worker then drops this trial's event and the response.
 			var top *topology.Topology
 			var asset *simAsset
 			if req.Transport != nil {
 				asset = transportAsset(w, mat, true)
-				asset.sim.SetInterrupt(intr)
 			} else {
 				top = mat.build()
 			}
 			for i := 0; i < req.Trials; i++ {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
 				w.tele.rec.Begin("evaluate.trial", int64(i))
 				var lam float64
 				var bounds *[2]float64
@@ -262,7 +257,7 @@ func planEvaluate(req *EvaluateRequest) (*plan, *apiError) {
 					// Certified bracket around the exact trial answer; the
 					// conservative (lower) side stands in as the trial's
 					// throughput so aggregate Min/Mean never overpromise.
-					lo, hi, err := jellyfish.EstimateThroughputInterruptible(top, req.Estimator.Kind, req.Estimator.Sample, req.Seed+uint64(i), intr)
+					lo, hi, err := jellyfish.EstimateThroughputInterruptible(top, req.Estimator.Kind, req.Estimator.Sample, req.Seed+uint64(i), w.interrupted)
 					if err != nil {
 						w.tele.rec.End()
 						return nil, err // unreachable: kind validated at plan time
@@ -271,15 +266,12 @@ func planEvaluate(req *EvaluateRequest) (*plan, *apiError) {
 					bounds = &resp.Bounds[len(resp.Bounds)-1]
 					lam = lo
 				default:
-					lam = jellyfish.OptimalThroughputInterruptible(top, req.Seed+uint64(i), intr, w.solverWorkers)
+					lam = jellyfish.OptimalThroughputInterruptible(top, req.Seed+uint64(i), w.interrupted, w.solverWorkers)
 				}
 				w.tele.rec.End()
 				resp.Throughputs = append(resp.Throughputs, lam)
 				sum += lam
 				emit(ctx, &TrialEvent{Op: "trial", Trial: i, Throughput: lam, Bounds: bounds})
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, err // a truncated trial must not reach the resp: cache
 			}
 			resp.Min = slices.Min(resp.Throughputs)
 			resp.Mean = sum / float64(req.Trials)
@@ -332,7 +324,6 @@ func planCapacitySearch(req *CapacitySearchRequest) (*plan, *apiError) {
 			var fam *jellyfish.SearchFamily
 			if v, ok := w.cache.get(famKey); ok {
 				fam = v.(*jellyfish.SearchFamily)
-				w.stats.familyHits.Add(1)
 				w.tele.familyHits.Inc()
 			} else {
 				w.tele.familyMisses.Inc()
@@ -342,14 +333,9 @@ func planCapacitySearch(req *CapacitySearchRequest) (*plan, *apiError) {
 				}
 				w.cache.put(famKey, fam)
 			}
-			max, err := cs.RunOnFamilyObserved(fam, func() bool {
-				return ctx.Err() != nil
-			}, func(servers int, feasible bool) {
+			max, err := cs.RunOnFamilyObserved(fam, w.interrupted, func(servers int, feasible bool) {
 				emit(ctx, &ProbeEvent{Op: "probe", Servers: servers, Feasible: feasible})
 			})
-			if err == jellyfish.ErrInterrupted {
-				return nil, ctx.Err()
-			}
 			if err != nil {
 				return nil, err
 			}
@@ -435,21 +421,16 @@ func planWhatIf(req *WhatIfRequest) (*plan, *apiError) {
 			// "sim:" tier) — reuse is result-invisible by the Sim
 			// contract — but compiles routing per step: scenarios mutate
 			// the graph, and a routing.Compiled is bound to one graph.
-			ev := jellyfish.NewWhatIfEvaluator(w.solverWorkers)
 			// Cancellation lands mid-step (one solver phase / one sim
-			// round); each step re-checks ctx before its checkpoint is
-			// cached, so a truncated solve never becomes a chain
+			// round); from then on the worker's latch refuses every
+			// checkpoint put, so a truncated solve never becomes a chain
 			// checkpoint other requests would resume from.
-			intr := func() bool { return ctx.Err() != nil }
-			ev.SetInterrupt(intr)
+			ev := jellyfish.NewWhatIfEvaluator(w.solverWorkers)
+			ev.SetInterrupt(w.interrupted)
 			var simScratch *flowsim.Sim
 			var srvBuf []int
 			if req.Transport != nil {
 				simScratch = transportAsset(w, mat, false).sim
-				// Always (re)install this request's poll: the shared sim
-				// asset still holds the previous borrower's closure, which
-				// may reference a context that has since been cancelled.
-				simScratch.SetInterrupt(intr)
 			}
 			stepOf := func(i int, desc string, lam float64) WhatIfStep {
 				st := WhatIfStep{
@@ -465,7 +446,6 @@ func planWhatIf(req *WhatIfRequest) (*plan, *apiError) {
 			}
 			var steps []WhatIfStep
 			if resumed >= 0 {
-				w.stats.chainHits.Add(1)
 				w.tele.chainHits.Inc()
 				steps = slices.Clone(cp.steps)
 				ev.SetState(cp.st)
@@ -474,11 +454,7 @@ func planWhatIf(req *WhatIfRequest) (*plan, *apiError) {
 				w.tele.rec.Begin("whatif.step", 0)
 				lam := ev.OptimalThroughput(top, req.Seed)
 				w.tele.rec.End()
-				st := stepOf(0, "base", lam)
-				if err := ctx.Err(); err != nil {
-					return nil, err // truncated base solve; do not checkpoint
-				}
-				steps = []WhatIfStep{st}
+				steps = []WhatIfStep{stepOf(0, "base", lam)}
 				w.cache.put("chain:"+keys[0], &chainPoint{steps: slices.Clone(steps), st: ev.State()})
 				resumed = 0
 			}
@@ -489,9 +465,6 @@ func planWhatIf(req *WhatIfRequest) (*plan, *apiError) {
 				emit(ctx, &StepEvent{Op: "step", Step: st})
 			}
 			for i := resumed + 1; i < len(keys); i++ {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
 				desc := req.Scenarios[i-1].apply(top)
 				if top.NumServers() == 0 {
 					return nil, badRequest("invalid_scenario", "scenario %d leaves the topology with no servers; throughput is undefined", i-1)
@@ -499,11 +472,7 @@ func planWhatIf(req *WhatIfRequest) (*plan, *apiError) {
 				w.tele.rec.Begin("whatif.step", int64(i))
 				lam := ev.OptimalThroughput(top, req.Seed)
 				w.tele.rec.End()
-				st := stepOf(i, desc, lam)
-				if err := ctx.Err(); err != nil {
-					return nil, err // truncated step solve; do not checkpoint
-				}
-				steps = append(steps, st)
+				steps = append(steps, stepOf(i, desc, lam))
 				w.cache.put("chain:"+keys[i], &chainPoint{steps: slices.Clone(steps), st: ev.State()})
 				emit(ctx, &StepEvent{Op: "step", Step: steps[len(steps)-1]})
 			}

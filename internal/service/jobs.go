@@ -234,35 +234,55 @@ func (js *jobStore) start(sched *scheduler, j *job, p *plan, ctx context.Context
 			}
 			j.mu.Unlock()
 		}, onEvent)
-		j.mu.Lock()
-		j.trace = trace
-		j.finished = time.Now().UTC() //jellyvet:allow determinism -- job metadata timestamp; never enters a response digest or event payload
+		o := &jobOutcome{trace: trace, finished: time.Now().UTC()} //jellyvet:allow determinism -- job metadata timestamp; never enters a response digest or event payload
 		persist := true
 		switch {
 		case err == nil:
-			j.status = jobSucceeded
-			j.result = resp
+			o.status = jobSucceeded
+			o.result = resp
 		case ctx.Err() != nil:
-			j.status = jobCancelled
-			j.err = &apiError{Status: http.StatusConflict, Code: "cancelled", Message: "job cancelled"}
+			o.status = jobCancelled
+			o.err = &apiError{Status: http.StatusConflict, Code: "cancelled", Message: "job cancelled"}
 			// Shutdown interruptions journal nothing: the submit record
 			// without a terminal record is the checkpoint that makes the
 			// next boot re-run this job.
+			j.mu.Lock()
 			persist = j.clientCancel
+			j.mu.Unlock()
 		default:
-			j.status = jobFailed
+			o.status = jobFailed
 			if ae, ok := err.(*apiError); ok {
-				j.err = ae
+				o.err = ae
 			} else {
-				j.err = &apiError{Status: http.StatusInternalServerError, Code: "internal", Message: err.Error()}
+				o.err = &apiError{Status: http.StatusInternalServerError, Code: "internal", Message: err.Error()}
 			}
 		}
-		j.eventsCh.Broadcast()
-		j.mu.Unlock()
 		if persist {
-			js.persistDone(j)
+			js.persistDone(j, o)
+		} else {
+			j.publish(o)
 		}
 	}()
+}
+
+// A jobOutcome is a job's terminal state, staged before anyone can see
+// it so the done record can be journaled first (see persistDone).
+type jobOutcome struct {
+	status   string
+	result   []byte
+	err      *apiError
+	finished time.Time
+	trace    *telemetry.Trace
+}
+
+// publish makes a job's terminal state visible and wakes its stream
+// subscribers.
+func (j *job) publish(o *jobOutcome) {
+	j.mu.Lock()
+	j.status, j.result, j.err = o.status, o.result, o.err
+	j.finished, j.trace = o.finished, o.trace
+	j.eventsCh.Broadcast()
+	j.mu.Unlock()
 }
 
 // planJob maps a job type to the sync endpoint's planner, so job results

@@ -149,36 +149,41 @@ func (js *jobStore) recoverDegradedUnderPMU() {
 	}
 }
 
-// persistDone writes a finished job's result and event stream to blob
-// storage and journals the terminal record. Blobs land before the record
-// that references them, so a crash between the two leaves only harmless
-// unreferenced blobs (collected at the next snapshot), never a dangling
-// digest.
-func (js *jobStore) persistDone(j *job) {
+// persistDone journals a finished job's staged outcome, then publishes
+// it. Journal first, then publish: a client must never see a terminal
+// status that a crash could take back, so the job stays visibly
+// unfinished until its done record is durable — and pmu is held across
+// both steps, so no snapshot can fall between them and record the job
+// as unfinished after its done record was appended. Blobs land before
+// the record that references them, so a crash between the two leaves
+// only harmless unreferenced blobs (collected at the next snapshot),
+// never a dangling digest.
+func (js *jobStore) persistDone(j *job, o *jobOutcome) {
 	js.pmu.Lock()
 	defer js.pmu.Unlock()
 	if js.store == nil {
+		j.publish(o)
 		return
 	}
 	j.mu.Lock()
 	rec := &jobRecord{
 		Kind:     recDone,
 		ID:       j.id,
-		Status:   j.status,
+		Status:   o.status,
 		Started:  formatTime(j.started),
-		Finished: formatTime(j.finished),
-		Error:    toPersistedError(j.err),
+		Finished: formatTime(o.finished),
+		Error:    toPersistedError(o.err),
 	}
-	result := j.result
 	events := j.events
 	j.mu.Unlock()
 	var err error
-	if rec.ResultDigest, err = putOptionalBlob(js.store, result); err == nil {
+	if rec.ResultDigest, err = putOptionalBlob(js.store, o.result); err == nil {
 		rec.EventsDigest, err = putOptionalBlob(js.store, encodeEvents(events))
 	}
 	if err == nil {
 		err = js.store.Append(mustJSON(rec))
 	}
+	j.publish(o)
 	if err != nil {
 		// The job finished in memory and stays servable; the recovery
 		// snapshot re-persists it once writes come back (or, failing

@@ -139,8 +139,8 @@ func TestQuotaHTTPSheddingAndUnmeteredReads(t *testing.T) {
 	if status, _ := doGet(t, ts.URL+"/v1/jobs"); status != http.StatusOK {
 		t.Fatalf("job list while over quota: status %d", status)
 	}
-	if status, _ := doGet(t, ts.URL+"/v1/stats"); status != http.StatusOK {
-		t.Fatalf("stats while over quota: status %d", status)
+	if status, _ := doGet(t, ts.URL+"/metrics"); status != http.StatusOK {
+		t.Fatalf("metrics while over quota: status %d", status)
 	}
 	if got := srv.tele.quotaRejects.Value(); got < 3 {
 		t.Fatalf("quota rejections = %d, want >= 3", got)

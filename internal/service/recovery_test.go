@@ -180,6 +180,53 @@ func TestClientCancelSticksAcrossRestart(t *testing.T) {
 	}
 }
 
+// A job must not be shown as finished before its done record is
+// journaled, or a crash between the two would take the status back. The
+// test holds the store's persist lock, so the done append cannot land,
+// and lets the job finish executing behind a parked shard worker; a
+// second task queued behind the job proves its execution has returned.
+func TestJobStatusTerminalOnlyAfterDoneRecordJournaled(t *testing.T) {
+	dir := t.TempDir()
+	ts, srv := durableServer(t, dir, Options{Workers: 1})
+	defer func() { ts.Close(); srv.Close() }()
+
+	release := make(chan struct{})
+	parked := &plan{family: "x", key: "park", run: func(ctx context.Context, w *worker) (any, error) {
+		<-release
+		return "done", nil
+	}}
+	go srv.sched.do(context.Background(), parked, false, nil, nil)
+	v := submitJob(t, ts.URL, `{"type":"design","request":{"switches":8,"ports":4,"networkDegree":2,"seed":1}}`)
+
+	srv.jobs.pmu.Lock()
+	close(release)
+	behind := &plan{family: "x", key: "behind", run: func(ctx context.Context, w *worker) (any, error) {
+		return "done", nil
+	}}
+	_, _, err := srv.sched.do(context.Background(), behind, false, nil, nil)
+	var seen []string
+	for i := 0; i < 20 && err == nil; i++ {
+		var got JobView
+		_, body := doGet(t, ts.URL+"/v1/jobs/"+v.ID)
+		if err = json.Unmarshal(body, &got); err == nil {
+			seen = append(seen, got.Status)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	srv.jobs.pmu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range seen {
+		if terminalStatus(s) {
+			t.Fatalf("job reported %s while its done record was still unwritten (statuses seen: %v)", s, seen)
+		}
+	}
+	if got := waitJob(t, ts.URL, v.ID); got.Status != jobSucceeded {
+		t.Fatalf("job after the append was released: %s", got.Status)
+	}
+}
+
 func TestEvictionTombstoneSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	ts, srv := durableServer(t, dir, Options{Workers: 1})

@@ -82,16 +82,6 @@ type cachedResult struct {
 	trace *telemetry.Trace
 }
 
-type stats struct {
-	resultHits   atomic.Int64
-	resultMisses atomic.Int64
-	familyHits   atomic.Int64
-	chainHits    atomic.Int64
-	simHits      atomic.Int64
-	deduped      atomic.Int64
-	syncRejected atomic.Int64
-}
-
 // worker is one cache shard: a queue, the warm-state cache it owns, and
 // the goroutine (spawned in newScheduler) that is the sole executor of
 // everything behind it.
@@ -101,19 +91,25 @@ type worker struct {
 	queue         chan *task
 	cache         *lru
 	solverWorkers int
-	stats         *stats
 	// tele is this shard's telemetry (never nil; inert when disabled).
 	// Its flight recorder is confined to this worker's goroutine.
 	tele *workerTele
-	// cacheLen mirrors cache.len() for the stats endpoint (the cache
-	// itself is confined to this worker's goroutine).
+	// cacheLen mirrors cache.len() for the cache-entries gauge (the
+	// cache itself is confined to this worker's goroutine).
 	cacheLen atomic.Int64
+
+	// ctx is the executing task's context and cancelled latches its
+	// cancellation — see interrupted.
+	ctx       context.Context
+	cancelled bool
 }
 
 type scheduler struct {
 	workers []*worker
-	stats   stats
 	tele    *tele // nil when telemetry is disabled
+	// deduped and syncRejected count single-flight coalescing and sync
+	// admission sheds (nil, and so inert, when telemetry is disabled).
+	deduped, syncRejected *telemetry.Counter
 
 	mu       sync.Mutex
 	inflight map[string]*task
@@ -133,11 +129,10 @@ func newScheduler(workers, solverWorkers, cacheEntries int, tl *tele) *scheduler
 	for i := range s.workers {
 		w := &worker{
 			queue:         make(chan *task, 256),
-			cache:         newLRU(cacheEntries),
 			solverWorkers: solverWorkers,
-			stats:         &s.stats,
 			tele:          tl.worker(i),
 		}
+		w.cache = newLRU(cacheEntries, w.interrupted)
 		s.workers[i] = w
 		s.wg.Add(1)
 		//jellyvet:allow determinism,confinement -- the shard worker pool itself: w is handed off here, before the loop starts, and this goroutine becomes its sole owner
@@ -153,8 +148,8 @@ func newScheduler(workers, solverWorkers, cacheEntries int, tl *tele) *scheduler
 
 // do schedules a plan and blocks until its execution — or the identical
 // in-flight execution it was deduplicated onto — completes. ctx is the
-// execution context (checked at dequeue and polled by interruptible
-// executors); dedup enables single-flight coalescing, onStart (optional)
+// execution context (polled through the worker's latch: see
+// interrupted); dedup enables single-flight coalescing, onStart (optional)
 // fires when execution actually begins on the worker. The returned
 // trace is the execution's recorded span tree (nil with telemetry
 // disabled); deduped followers and response-cache hits share the
@@ -170,7 +165,7 @@ func (s *scheduler) do(ctx context.Context, p *plan, dedup bool, onStart func(),
 	if dedup {
 		if prior, ok := s.inflight[p.key]; ok {
 			s.mu.Unlock()
-			s.stats.deduped.Add(1)
+			s.deduped.Inc()
 			<-prior.done
 			// A deduped follower receives the leader's event stream after
 			// the fact — identical payload bytes, just not live.
@@ -202,6 +197,25 @@ func (s *scheduler) shard(family string) int {
 	return int(h.Sum32() % uint32(len(s.workers)))
 }
 
+// interrupted is the worker's one cancellation poll, and the only
+// interrupt any kernel on the worker receives. It reports whether the
+// executing task's context is done, and once it has reported true it
+// keeps doing so until the next task begins. A kernel stops early only
+// when this poll told it to, so a truncated kernel value can exist only
+// while the latch is set — and while it is set the worker refuses every
+// way out for a value: the LRU's put, the progress sink, and the
+// response (execute ends the task with the context's error). That makes
+// "a truncated result never reaches a cache, a stream or a caller" a
+// property of the worker instead of a re-check every executor must
+// remember. Kernels call it on their calling goroutine, which is always
+// this worker's, so the latch needs no synchronization.
+func (w *worker) interrupted() bool {
+	if !w.cancelled && w.ctx.Err() != nil {
+		w.cancelled = true
+	}
+	return w.cancelled
+}
+
 func (w *worker) execute(s *scheduler, t *task) {
 	defer func() {
 		w.cacheLen.Store(int64(w.cache.len()))
@@ -223,15 +237,13 @@ func (w *worker) execute(s *scheduler, t *task) {
 			time.Sleep(faultinject.StallDuration)
 		}
 	}
-	if t.ctx != nil {
-		if err := t.ctx.Err(); err != nil {
-			t.err = err
-			return
-		}
+	w.ctx, w.cancelled = t.ctx, false
+	if w.interrupted() {
+		t.err = t.ctx.Err()
+		return
 	}
 	if v, ok := w.cache.get("resp:" + t.key); ok {
 		cr := v.(*cachedResult)
-		w.stats.resultHits.Add(1)
 		w.tele.respHits.Inc()
 		if t.onEvent != nil {
 			for _, e := range cr.events {
@@ -243,7 +255,6 @@ func (w *worker) execute(s *scheduler, t *task) {
 		t.trace = cr.trace
 		return
 	}
-	w.stats.resultMisses.Add(1)
 	w.tele.respMisses.Inc()
 	if t.onStart != nil {
 		t.onStart()
@@ -259,6 +270,12 @@ func (w *worker) execute(s *scheduler, t *task) {
 	w.tele.rec.End()
 	t.trace = w.tele.rec.TraceSince(mark)
 	s.tele.opDurH(t.op).ObserveSince(opT)
+	if w.interrupted() {
+		// Whatever the executor returned may rest on a truncated kernel
+		// result; only the cancellation itself is reported.
+		t.err = t.ctx.Err()
+		return
+	}
 	if err != nil {
 		t.err = err
 		return
@@ -306,20 +323,21 @@ func runGuarded(s *scheduler, t *task, w *worker) (v any, err error) {
 				Message: fmt.Sprintf("executor panic: %v", r)}
 		}
 	}()
-	ctx := t.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	// Progress payloads are recorded on the task (for the response cache)
 	// and forwarded live to the subscriber, in emission order. The sink
-	// runs on this worker goroutine only, so the slice needs no locking.
+	// runs on this worker goroutine only, so the slice needs no locking,
+	// and it drops every payload once the task is interrupted: the value
+	// behind it may be a truncated kernel result.
 	sink := func(b []byte) {
+		if w.interrupted() {
+			return
+		}
 		t.events = append(t.events, b)
 		if t.onEvent != nil {
 			t.onEvent(b)
 		}
 	}
-	return t.run(context.WithValue(ctx, emitKey{}, sink), w)
+	return t.run(context.WithValue(t.ctx, emitKey{}, sink), w)
 }
 
 // close shuts the pool down after in-flight work drains. Submitting after
@@ -337,22 +355,4 @@ func (s *scheduler) close() {
 		close(w.queue)
 	}
 	s.wg.Wait()
-}
-
-func (s *scheduler) statsSnapshot() StatsResponse {
-	entries := 0
-	for _, w := range s.workers {
-		entries += int(w.cacheLen.Load())
-	}
-	return StatsResponse{
-		Workers:      len(s.workers),
-		ResultHits:   s.stats.resultHits.Load(),
-		ResultMisses: s.stats.resultMisses.Load(),
-		FamilyHits:   s.stats.familyHits.Load(),
-		ChainHits:    s.stats.chainHits.Load(),
-		SimHits:      s.stats.simHits.Load(),
-		Deduped:      s.stats.deduped.Load(),
-		SyncRejected: s.stats.syncRejected.Load(),
-		CacheEntries: entries,
-	}
 }

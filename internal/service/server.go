@@ -147,7 +147,6 @@ func New(opt Options) (*Server, error) {
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /v1/trace/{id}", s.handleTrace)
 	s.mux.HandleFunc("POST /v1/design", s.handleDesign)
 	s.mux.HandleFunc("POST /v1/evaluate", s.handleEvaluate)
@@ -252,10 +251,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Write([]byte(`{"status":"ok"}`))
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.sched.statsSnapshot())
-}
-
 // handleMetrics serves the Prometheus text exposition. Scraping walks
 // fixed registry slots and read-out bridges; it never takes a lock an
 // instrument writer holds, so a scrape cannot stall a solve.
@@ -354,7 +349,7 @@ func (s *Server) runSync(w http.ResponseWriter, r *http.Request, p *plan, aerr *
 		case s.syncSem <- struct{}{}:
 			defer func() { <-s.syncSem }()
 		default:
-			s.sched.stats.syncRejected.Add(1)
+			s.sched.syncRejected.Inc()
 			w.Header().Set("Retry-After", "1")
 			writeErr(w, &apiError{
 				Status: http.StatusTooManyRequests, Code: "overloaded",

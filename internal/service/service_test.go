@@ -417,10 +417,10 @@ func TestSingleFlightExecutesOnce(t *testing.T) {
 			t.Fatalf("client %d got different bytes", i)
 		}
 	}
-	if misses := srv.sched.stats.resultMisses.Load(); misses != 1 {
+	if misses := counterSum(t, srv, "jellyfishd_cache_misses_total", `tier="resp"`); misses != 1 {
 		t.Fatalf("%d executions for %d identical requests, want exactly 1", misses, clients)
 	}
-	if hits := srv.sched.stats.resultHits.Load() + srv.sched.stats.deduped.Load(); hits != clients-1 {
+	if hits := counterSum(t, srv, "jellyfishd_cache_hits_total", `tier="resp"`) + counterSum(t, srv, "jellyfishd_sched_deduped_total", ""); hits != clients-1 {
 		t.Fatalf("hits+deduped = %d, want %d", hits, clients-1)
 	}
 }

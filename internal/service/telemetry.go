@@ -196,10 +196,10 @@ func newTele(workers int) *tele {
 	return t
 }
 
-// bindScheduler registers the read-out bridges over the scheduler's own
-// state: per-worker queue depth and cache size, plus the counters the
-// stats endpoint already tracks in non-telemetry atomics. Called once,
-// right after the scheduler is built.
+// bindScheduler registers the scheduler's series: read-out bridges over
+// per-worker queue depth and cache size, then the scheduler's own dedup
+// and sync-shed counters. Called once, right after the scheduler is
+// built.
 func (t *tele) bindScheduler(s *scheduler) {
 	if t == nil {
 		return
@@ -215,12 +215,10 @@ func (t *tele) bindScheduler(s *scheduler) {
 			"Entries across the worker's warm-state cache tiers.",
 			telemetry.Labels("worker", strconv.Itoa(i)), w.cacheLen.Load)
 	}
-	t.reg.CounterFunc("jellyfishd_sched_deduped_total",
-		"Requests coalesced onto an identical in-flight execution.", "",
-		s.stats.deduped.Load)
-	t.reg.CounterFunc("jellyfishd_sync_rejected_total",
-		"Synchronous requests shed with 429 at the admission gate.", "",
-		s.stats.syncRejected.Load)
+	s.deduped = t.reg.Counter("jellyfishd_sched_deduped_total",
+		"Requests coalesced onto an identical in-flight execution.", "")
+	s.syncRejected = t.reg.Counter("jellyfishd_sync_rejected_total",
+		"Synchronous requests shed with 429 at the admission gate.", "")
 }
 
 // worker returns shard i's telemetry (an inert zero bundle when

@@ -92,6 +92,32 @@ func metricValue(body, prefix string) (float64, bool) {
 	return 0, false
 }
 
+// counterSum reads a counter family from srv's registry, summing every
+// series whose labels contain the given fragment — so `tier="resp"` sums
+// a cache tier over the shard workers, and "" sums the whole family.
+func counterSum(t *testing.T, srv *Server, family, labels string) int64 {
+	t.Helper()
+	var b strings.Builder
+	srv.tele.reg.WritePrometheus(&b)
+	var sum int64
+	for _, line := range strings.Split(b.String(), "\n") {
+		series, value, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, lbl, _ := strings.Cut(series, "{")
+		if name != family || !strings.Contains(lbl, labels) {
+			continue
+		}
+		n, err := strconv.ParseInt(value, 10, 64)
+		if err != nil {
+			t.Fatalf("%s: unparsable counter sample %q", family, line)
+		}
+		sum += n
+	}
+	return sum
+}
+
 func TestMetricsExposition(t *testing.T) {
 	ts, _ := newTestServer(t, Options{Workers: 2})
 	// Drive every subsystem: a capacity search (solver + capsearch

@@ -26,7 +26,7 @@ func TestEvaluateTransportWarmVsCold(t *testing.T) {
 			warm[i] = mustPost(t, warmURL.URL+"/v1/evaluate", req(c[0], c[1], 9))
 		}
 	}
-	if warmSrv.sched.stats.simHits.Load() < 1 {
+	if counterSum(t, warmSrv, "jellyfishd_cache_hits_total", `tier="sim"`) < 1 {
 		t.Fatal("repeated transport evaluations never hit the sim: tier")
 	}
 	coldURL, _ := newTestServer(t, Options{Workers: 4})
@@ -70,7 +70,7 @@ func TestWhatIfTransportChain(t *testing.T) {
 	warmURL, warmSrv := newTestServer(t, Options{Workers: 1})
 	mustPost(t, warmURL.URL+"/v1/whatif", prefix+`]}`) // seeds the chain prefix
 	got := mustPost(t, warmURL.URL+"/v1/whatif", full) // resumes it
-	if warmSrv.sched.stats.chainHits.Load() < 1 {
+	if counterSum(t, warmSrv, "jellyfishd_cache_hits_total", `tier="chain"`) < 1 {
 		t.Fatal("extending a transport chain never hit a checkpoint")
 	}
 	coldURL, _ := newTestServer(t, Options{Workers: 2})
@@ -125,8 +125,8 @@ func TestSyncAdmissionControl(t *testing.T) {
 	if ra := resp.Header.Get("Retry-After"); ra == "" {
 		t.Fatal("429 without Retry-After header")
 	}
-	if srv.sched.stats.syncRejected.Load() != 1 {
-		t.Fatalf("syncRejected = %d, want 1", srv.sched.stats.syncRejected.Load())
+	if n := counterSum(t, srv, "jellyfishd_sync_rejected_total", ""); n != 1 {
+		t.Fatalf("syncRejected = %d, want 1", n)
 	}
 	// The async job API is not admission-gated.
 	code, _ := doPost(t, ts.URL+"/v1/jobs", `{"type":"design","request":`+design+`}`)
@@ -176,8 +176,8 @@ func TestSyncAdmissionUnderBurst(t *testing.T) {
 	if ok == 0 {
 		t.Fatal("burst: no request succeeded")
 	}
-	if int64(shed) != srv.sched.stats.syncRejected.Load() {
-		t.Fatalf("shed %d but counter says %d", shed, srv.sched.stats.syncRejected.Load())
+	if n := counterSum(t, srv, "jellyfishd_sync_rejected_total", ""); int64(shed) != n {
+		t.Fatalf("shed %d but counter says %d", shed, n)
 	}
 	if code, _ := doPost(t, ts.URL+"/v1/design", design); code != http.StatusOK {
 		t.Fatalf("after burst, design returned %d, want 200", code)

@@ -89,19 +89,6 @@ func TestCommoditiesTotalDemand(t *testing.T) {
 	}
 }
 
-func TestIntraSwitchFlows(t *testing.T) {
-	p := &Pattern{
-		ServerSwitch: []int{0, 0, 1},
-		Flows: []Flow{
-			{SrcServer: 0, DstServer: 1, SrcSwitch: 0, DstSwitch: 0},
-			{SrcServer: 2, DstServer: 0, SrcSwitch: 1, DstSwitch: 0},
-		},
-	}
-	if p.IntraSwitchFlows() != 1 {
-		t.Fatalf("intra = %d, want 1", p.IntraSwitchFlows())
-	}
-}
-
 func TestAllToAllDemand(t *testing.T) {
 	ss := []int{0, 0, 1, 2} // 4 servers across 3 switches
 	comms := AllToAll(ss)
@@ -152,51 +139,5 @@ func TestPermutationDeterministic(t *testing.T) {
 		if a.Flows[i] != b.Flows[i] {
 			t.Fatal("same seed produced different permutations")
 		}
-	}
-}
-
-func TestAdversarialPermutationStretchesPaths(t *testing.T) {
-	top := topology.Jellyfish(40, 10, 6, rng.New(21))
-	ss := top.ServerSwitches()
-	distCache := map[int][]int{}
-	dist := func(a, b int) int {
-		d, ok := distCache[a]
-		if !ok {
-			d = top.Graph.BFS(a)
-			distCache[a] = d
-		}
-		return d[b]
-	}
-	adv := AdversarialPermutation(ss, dist, rng.New(22))
-	rnd := RandomPermutation(ss, rng.New(22))
-	hops := func(p *Pattern) float64 {
-		var sum float64
-		for _, f := range p.Flows {
-			sum += float64(dist(f.SrcSwitch, f.DstSwitch))
-		}
-		return sum / float64(len(p.Flows))
-	}
-	if hops(adv) <= hops(rnd) {
-		t.Fatalf("adversarial mean hops %v not above random %v", hops(adv), hops(rnd))
-	}
-	// Every server sends somewhere else.
-	for _, f := range adv.Flows {
-		if f.SrcServer == f.DstServer {
-			t.Fatal("adversarial permutation has a fixed point")
-		}
-	}
-}
-
-func TestAdversarialPermutationIsInjective(t *testing.T) {
-	top := topology.Jellyfish(15, 8, 4, rng.New(23))
-	ss := top.ServerSwitches()
-	dist := func(a, b int) int { return top.Graph.BFS(a)[b] }
-	adv := AdversarialPermutation(ss, dist, rng.New(24))
-	seen := map[int]bool{}
-	for _, f := range adv.Flows {
-		if seen[f.DstServer] {
-			t.Fatalf("destination %d receives twice", f.DstServer)
-		}
-		seen[f.DstServer] = true
 	}
 }
